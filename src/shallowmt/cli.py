@@ -17,7 +17,6 @@ import argparse
 import contextlib
 import datetime as _dt
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -360,7 +359,6 @@ def _decode_cfg_from_args(args) -> DecodeConfig:
         beam_size=args.beam,
         length_penalty=args.length_penalty,
         max_len=args.max_len,
-        threads=args.threads,
     )
 
 
@@ -372,6 +370,9 @@ def cmd_evaluate(args) -> int:
     corpora = _load_split(data_dir, args.split)
     manifest = RunManifest("evaluate", _manifest_args(args), [data_dir, args.checkpoint], [out_path])
     scores = evaluation.evaluate_model(model, corpora, vocab, _decode_cfg_from_args(args))
+    sizes = {tuple(c.direction): len(c.pairs) for c in corpora}
+    for d, s in sorted(scores.items()):
+        print(f"{_direction_tag(d)}: {s.max_len_hits}/{sizes[d]} hit max_len", file=sys.stderr)
     lines = [
         f"{_direction_tag(d)}\t{s.score:.6f}"
         for d, s in sorted(scores.items())
@@ -496,8 +497,6 @@ def _add_decode_flags(p):
     p.add_argument("--beam", type=int, default=5)
     p.add_argument("--length-penalty", dest="length_penalty", type=float, default=1.0)
     p.add_argument("--max-len", dest="max_len", type=int, default=None)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("SHALLOWMT_THREADS", "1")))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -355,6 +355,9 @@ def load_corpus_tsv(path) -> list[DirectionCorpus]:
         if len(parts) != 4:
             raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
         src_lang, tgt_lang, src_text, tgt_text = parts
+        for side, text in (("source", src_text), ("target", tgt_text)):
+            if not text:
+                raise DataError(f"{path}:{lineno}: empty {side} field")
         pair = TranslationPair(
             src_lang, tgt_lang, tuple(src_text.split(" ")), tuple(tgt_text.split(" "))
         )

@@ -1,5 +1,14 @@
 """Greedy and beam-search generation.
 
+Both decoders drive the model's incremental step API: `begin_decode` encodes
+the source once and computes each decoder layer's cross-attention K/V, and
+each `decode_step` feeds one new token per hypothesis, appends its
+self-attention K/V to a per-layer cache and returns next-token logits. Beam
+search steps all live hypotheses as one batch, takes the log-softmax and the
+top-k over the [live, V] score matrix in numpy, and reorders the caches by
+parent hypothesis. Models that expose only `logits_for_prefix` (hand-built
+stubs) run through the same decoders, recomputing each prefix in full.
+
 Tie-breaking is fully deterministic: token argmax ties resolve to the lowest
 token id, and equal-scoring finished hypotheses resolve to the lowest
 lexicographic token sequence, so independent implementations agree
@@ -22,7 +31,6 @@ class DecodeConfig:
     beam_size: int = 5
     length_penalty: float = 1.0
     max_len: int | None = None  # None: 2 * source_len + 8
-    threads: int = 1
 
 
 @dataclass
@@ -32,9 +40,9 @@ class BeamHypothesis:
     finished: bool
 
 
-def _log_softmax_row(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    return z - np.log(np.exp(z).sum())
+def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def _normalized(hyp: BeamHypothesis, length_penalty: float) -> float:
@@ -49,28 +57,44 @@ def default_max_len(source_len: int, model=None) -> int:
     return n
 
 
-def _stepper(model, src_ids):
-    """Next-token logits closure; reuses the model's cached-encoder session
-    when available (hand-built stub models only need logits_for_prefix)."""
-    if hasattr(model, "decode_session"):
-        return model.decode_session(src_ids)
-    return lambda prefix: model.logits_for_prefix(src_ids, prefix)
+class _PrefixStepper:
+    """The step API over a model that exposes only `logits_for_prefix`:
+    every step recomputes each hypothesis's whole prefix. One stepper serves
+    one sentence and is its own decode state."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def begin_decode(self, src_ids) -> _PrefixStepper:
+        self.src_ids, self.rows = src_ids, [[]]
+        return self
+
+    def decode_step(self, state, tokens) -> np.ndarray:
+        self.rows = [row + [int(t)] for row, t in zip(self.rows, tokens)]
+        return np.stack([np.asarray(self.model.logits_for_prefix(self.src_ids, row),
+                                    dtype=np.float64) for row in self.rows])
+
+    def reorder(self, parents) -> None:
+        self.rows = [self.rows[i] for i in parents]
+
+
+def _stepper(model):
+    return model if hasattr(model, "decode_step") else _PrefixStepper(model)
 
 
 def greedy_decode_ids(model, src_ids, bos_id: int, eos_id: int, max_len: int) -> list[int]:
     """Argmax decoding over ids; returns generated tokens including <eos>
     when reached within the budget.
     """
-    step = _stepper(model, src_ids)
-    prefix = [bos_id]
+    model = _stepper(model)
+    state = model.begin_decode(src_ids)
     out: list[int] = []
+    token = bos_id
     for _ in range(max_len):
-        logits = step(prefix)
-        nxt = int(np.argmax(logits))  # ties resolve to the lowest id
-        out.append(nxt)
-        if nxt == eos_id:
+        token = int(np.argmax(model.decode_step(state, [token])[0]))  # ties: lowest id
+        out.append(token)
+        if token == eos_id:
             break
-        prefix.append(nxt)
     return out
 
 
@@ -82,25 +106,43 @@ def beam_decode_ids(model, src_ids, bos_id: int, eos_id: int, beam_size: int,
     the top `beam_size` candidates by raw score; candidates ending in <eos>
     retire. The returned hypothesis maximizes score / length**length_penalty
     over the pool (falling back to live hypotheses when nothing finished).
+
+    The top-k is exact under the tie-break: every candidate scoring at or
+    above the k-th best score is kept, only those are sorted by
+    (-score, tokens), and the first k survive.
     """
     if beam_size < 1:
         raise ContractError(f"beam_size must be >= 1, got {beam_size}")
-    step_fn = _stepper(model, src_ids)
+    model = _stepper(model)
+    state = model.begin_decode(src_ids)
     live = [BeamHypothesis([], 0.0, False)]
+    last = [bos_id]
     pool: list[BeamHypothesis] = []
     for _ in range(max_len):
-        candidates: list[tuple[float, list[int]]] = []
-        for hyp in live:
-            logp = _log_softmax_row(step_fn([bos_id] + hyp.tokens))
-            for z in range(logp.shape[0]):
-                candidates.append((hyp.score + float(logp[z]), hyp.tokens + [z]))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        live = []
-        for score, tokens in candidates[:beam_size]:
-            hyp = BeamHypothesis(tokens, score, tokens[-1] == eos_id)
-            (pool if hyp.finished else live).append(hyp)
+        logp = _log_softmax_rows(model.decode_step(state, last))
+        scores = np.array([h.score for h in live])[:, None] + logp  # [live, V]
+        # candidate i extends hypothesis i // vocab by token i % vocab
+        vocab, flat = logp.shape[1], scores.ravel()
+        k = min(beam_size, flat.size)
+        kth = np.partition(flat, flat.size - k)[flat.size - k]
+        chosen = sorted(
+            (int(i) for i in np.flatnonzero(flat >= kth)),
+            key=lambda i: (-flat[i], live[i // vocab].tokens + [i % vocab]),
+        )[:k]
+        parents, survivors = [], []
+        for i in chosen:
+            hyp = BeamHypothesis(live[i // vocab].tokens + [i % vocab], float(flat[i]),
+                                 i % vocab == eos_id)
+            if hyp.finished:
+                pool.append(hyp)
+            else:
+                parents.append(i // vocab)
+                survivors.append(hyp)
+        live = survivors
         if not live:
             break
+        state.reorder(parents)
+        last = [h.tokens[-1] for h in live]
     ranked = pool if pool else live
     best = min(ranked, key=lambda h: (-_normalized(h, length_penalty), h.tokens))
     return list(best.tokens)

@@ -12,8 +12,7 @@ import math
 import statistics
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .data import (DirectionCorpus, LanguageResourceEntry, ResourceCategory,
                    classify_resource)
@@ -35,6 +34,7 @@ class BleuScore:
     brevity_penalty: float
     hyp_len: int
     ref_len: int
+    max_len_hits: int = 0  # hypotheses that ended without <eos> (set by evaluate_model)
 
 
 @dataclass
@@ -101,27 +101,23 @@ def evaluate_model(model, eval_corpora: list[DirectionCorpus], vocab,
                    decode_cfg: DecodeConfig | None = None) -> dict[tuple[str, str], BleuScore]:
     """Decode every source sentence and score per direction.
 
-    Deterministic: decoding is pure, and with threads > 1 only the per-sentence
-    decode fans out; result order is preserved.
+    Deterministic: decoding is pure. Each score's `max_len_hits` counts the
+    hypotheses that hit the length limit without emitting <eos>.
     """
     decode_cfg = decode_cfg or DecodeConfig()
     scores: dict[tuple[str, str], BleuScore] = {}
     for corpus in eval_corpora:
         direction = tuple(corpus.direction)
-
-        def _decode(pair):
+        hyps, hits = [], 0
+        for pair in corpus.pairs:
             ids = translate(model, list(pair.src), direction, vocab, decode_cfg)
             if ids and ids[-1] == vocab.eos_id:
                 ids = ids[:-1]
-            return vocab.decode(ids)
-
-        if decode_cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=decode_cfg.threads) as pool:
-                hyps = list(pool.map(_decode, corpus.pairs))
-        else:
-            hyps = [_decode(p) for p in corpus.pairs]
+            else:
+                hits += 1
+            hyps.append(vocab.decode(ids))
         refs = [list(p.tgt) for p in corpus.pairs]
-        scores[direction] = corpus_bleu(hyps, refs)
+        scores[direction] = replace(corpus_bleu(hyps, refs), max_len_hits=hits)
     return scores
 
 

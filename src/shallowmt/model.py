@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -153,23 +153,38 @@ class Model:
             return ad.linear(x, ad.transpose(self.params["embed"], (1, 0)))
         return ad.linear(x, self.params["out_w"], self.params["out_b"])
 
-    def _embed(self, ids: np.ndarray, side: str, train: bool, rng) -> Tensor:
+    def _embed(self, ids: np.ndarray, side: str, train: bool, rng, start: int = 0) -> Tensor:
         d = self.config.emb_dim
         x = ad.scale(ad.embedding_lookup(self._embed_table(side), ids), math.sqrt(d))
-        x = ad.add(x, Tensor(self._pe[: ids.shape[-1]]))
+        x = ad.add(x, Tensor(self._pe[start : start + ids.shape[-1]]))
         return ad.dropout(x, self.config.dropout, rng, train)
 
-    def _attn(self, prefix: str, x_q: Tensor, x_kv: Tensor, mask, train: bool, rng) -> Tensor:
+    def _split_heads(self, t: Tensor) -> Tensor:
+        """[B, S, D] -> [B, H, S, D/H]."""
+        heads = self.config.num_heads
+        b, s, d = t.shape
+        return ad.transpose(ad.reshape(t, (b, s, heads, d // heads)), (0, 2, 1, 3))
+
+    def _kv(self, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
+        """Keys and values of an attention block over x, heads split."""
+        p = self.params
+        return (self._split_heads(ad.linear(x, p[f"{prefix}.wk"], p[f"{prefix}.bk"])),
+                self._split_heads(ad.linear(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"])))
+
+    def _attn(self, prefix: str, x_q: Tensor, x_kv: Tensor, mask, train: bool, rng,
+              cache: DecoderCache | None = None) -> Tensor:
+        """Multi-head attention of x_q over x_kv. With a cache, a block whose
+        K/V the cache holds for the whole sentence (cross-attention) reuses
+        them and ignores x_kv; any other block appends the K/V of x_kv's rows
+        to its cached ones and attends over all of them."""
         p, cfg = self.params, self.config
-        heads, dh = cfg.num_heads, cfg.emb_dim // cfg.num_heads
-
-        def split(t: Tensor) -> Tensor:
-            b, s, _ = t.shape
-            return ad.transpose(ad.reshape(t, (b, s, heads, dh)), (0, 2, 1, 3))
-
-        q = split(ad.linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
-        k = split(ad.linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]))
-        v = split(ad.linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
+        q = self._split_heads(ad.linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
+        if cache is None:
+            k, v = self._kv(prefix, x_kv)
+        elif prefix in cache.cross:
+            k, v = cache.cross[prefix]
+        else:
+            k, v = cache.append(prefix, *self._kv(prefix, x_kv))
         attn = ad.softmax(ad.masked_attention_scores(q, k, mask), axis=-1)
         attn = ad.dropout(attn, cfg.attention_dropout, rng, train)
         ctx = ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3))
@@ -199,47 +214,99 @@ class Model:
             x = ad.add(x, ad.dropout(h, cfg.dropout, rng, train))
         return self._ln("enc.norm", x)
 
-    def decode(self, enc_out: Tensor, tgt_ids: np.ndarray, self_mask, cross_mask,
-               train: bool = False, rng=None) -> Tensor:
-        """Decoder stack: tgt_ids [B, T] -> logits [B, T, V]."""
+    def decode(self, enc_out: Tensor | None, tgt_ids: np.ndarray, self_mask, cross_mask,
+               train: bool = False, rng=None, cache: DecoderCache | None = None) -> Tensor:
+        """Decoder stack: tgt_ids [B, T] -> logits [B, T, V].
+
+        With a `DecoderCache`, tgt_ids holds only the positions after the
+        cached ones: they are embedded at their offsets, their self-attention
+        K/V join the cache, and the cross-attention K/V come from the cache
+        (`enc_out` is not read and may be None). `self_mask` then covers the
+        cached keys too.
+        """
         cfg = self.config
-        y = self._embed(tgt_ids, "tgt", train, rng)
+        start = 0 if cache is None else cache.length
+        y = self._embed(tgt_ids, "tgt", train, rng, start)
         for i in range(cfg.decoder_layers):
             pre = f"dec.{i}"
             normed = self._ln(f"{pre}.ln1", y)
-            h = self._attn(f"{pre}.self", normed, normed, self_mask, train, rng)
+            h = self._attn(f"{pre}.self", normed, normed, self_mask, train, rng, cache)
             y = ad.add(y, ad.dropout(h, cfg.dropout, rng, train))
-            h = self._attn(f"{pre}.cross", self._ln(f"{pre}.ln_cross", y), enc_out, cross_mask, train, rng)
+            h = self._attn(f"{pre}.cross", self._ln(f"{pre}.ln_cross", y), enc_out, cross_mask,
+                           train, rng, cache)
             y = ad.add(y, ad.dropout(h, cfg.dropout, rng, train))
             h = self._ffn(f"{pre}.ffn", self._ln(f"{pre}.ln2", y), train, rng)
             y = ad.add(y, ad.dropout(h, cfg.dropout, rng, train))
+        if cache is not None:
+            cache.length += tgt_ids.shape[-1]
         return self._project_logits(self._ln("dec.norm", y))
 
     def logits_for_prefix(self, src_ids, prefix_ids) -> np.ndarray:
-        """Next-token logits row for decoding: [V] for the last prefix position."""
+        """Next-token logits row for decoding: [V] for the last prefix position.
+
+        Recomputes the whole prefix; the reference for `decode_step`."""
         with ad.no_grad():
             logits = forward(self, src_ids, prefix_ids, train_mode=False)
         return logits.data[-1]
 
-    def decode_session(self, src_ids):
-        """Encode the source once; returns prefix -> next-token logits [V].
-
-        Gives the same rows as `logits_for_prefix` without re-running the
-        encoder for every generated token.
-        """
+    def begin_decode(self, src_ids) -> DecoderCache:
+        """Encode one source sentence and compute every decoder layer's
+        cross-attention K/V of it, ready for `decode_step`."""
         src = np.asarray(src_ids, dtype=np.int64)[None, :]
         _validate_ids(src, self.config, "source")
         with ad.no_grad():
             enc_out = self.encode(src, None)
+            cross = {f"dec.{i}.cross": self._kv(f"dec.{i}.cross", enc_out)
+                     for i in range(self.config.decoder_layers)}
+        return DecoderCache(cross)
 
-        def step(prefix_ids) -> np.ndarray:
-            tgt = np.asarray(prefix_ids, dtype=np.int64)[None, :]
-            _validate_ids(tgt, self.config, "target prefix")
-            with ad.no_grad():
-                logits = self.decode(enc_out, tgt, Tensor(causal_mask(tgt.shape[1])), None)
-            return logits.data[0, -1]
+    def decode_step(self, state: DecoderCache, tokens) -> np.ndarray:
+        """Feed one token per hypothesis (`[B]`, the first call gets <bos>)
+        and return each hypothesis's next-token logits, [B, V].
 
-        return step
+        Only the new position is computed: it attends over the cached
+        self-attention K/V, so it needs no causal mask. The batch of one
+        sentence's cross-attention K/V broadcasts over the B hypotheses.
+        """
+        tgt = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
+        if state.length >= self.config.max_seq_len:
+            raise ContractError(
+                f"target prefix: length {state.length + 1} exceeds max_seq_len "
+                f"{self.config.max_seq_len}"
+            )
+        _validate_ids(tgt, self.config, "target token")
+        with ad.no_grad():
+            logits = self.decode(None, tgt, None, None, cache=state)
+        return logits.data[:, 0]
+
+
+@dataclass
+class DecoderCache:
+    """One sentence's decoder state between `decode_step` calls.
+
+    `cross` maps each decoder layer's cross-attention block to the K/V of
+    the encoder output, [1, H, S, D/H], computed once per sentence. `self_kv`
+    maps each self-attention block to the K/V of the `length` positions fed
+    so far, [B, H, length, D/H], one row per hypothesis.
+    """
+
+    cross: dict[str, tuple[Tensor, Tensor]]
+    self_kv: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)
+    length: int = 0
+
+    def append(self, prefix: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Extend a self-attention block's K/V by new positions; returns all."""
+        if prefix in self.self_kv:
+            old_k, old_v = self.self_kv[prefix]
+            k, v = ad.concat([old_k, k], axis=2), ad.concat([old_v, v], axis=2)
+        self.self_kv[prefix] = (k, v)
+        return k, v
+
+    def reorder(self, parents) -> None:
+        """Keep hypothesis rows `parents`, in that order (beam selection)."""
+        idx = np.asarray(parents, dtype=np.int64)
+        self.self_kv = {name: (Tensor(k.data[idx]), Tensor(v.data[idx]))
+                        for name, (k, v) in self.self_kv.items()}
 
 
 def _validate_ids(ids: np.ndarray, cfg: ModelConfig, what: str):
@@ -386,18 +453,33 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
+    """Read a checkpoint; a truncated or malformed file raises ContractError."""
     raw = Path(path).read_bytes()
     if raw[:8] != CHECKPOINT_MAGIC:
         raise ContractError(f"{path}: not a model checkpoint (bad magic)")
+    if len(raw) < 12:
+        raise ContractError(f"{path}: truncated checkpoint ({len(raw)} bytes, header needs 12)")
     n = int.from_bytes(raw[8:12], "little")
-    manifest = json.loads(raw[12 : 12 + n].decode("utf-8"))
-    config = ModelConfig(**manifest["config"])
+    if 12 + n > len(raw):
+        raise ContractError(
+            f"{path}: truncated checkpoint (manifest of {n} bytes, {len(raw) - 12} left)"
+        )
+    try:
+        manifest = json.loads(raw[12 : 12 + n].decode("utf-8"))
+        config = ModelConfig(**manifest["config"])
+        entries = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"]))
+                   for e in manifest["tensors"]]
+    except (KeyError, TypeError, ValueError) as err:  # ValueError covers JSON and UTF-8 errors
+        raise ContractError(f"{path}: malformed checkpoint manifest ({err})") from err
     data = raw[12 + n :]
     params = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+    for name, shape, start in entries:
+        count = math.prod(shape)
+        if start < 0 or min(shape, default=0) < 0 or start + 8 * count > len(data):
+            raise ContractError(
+                f"{path}: tensor {name!r} (shape {list(shape)}, offset {start}) lies outside "
+                f"the {len(data)}-byte data section; the checkpoint is truncated or corrupt"
+            )
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=start).reshape(shape)
-        params[entry["name"]] = Tensor(arr.astype(np.float64), requires_grad=True)
+        params[name] = Tensor(arr.astype(np.float64), requires_grad=True)
     return Model(config, params)

@@ -208,6 +208,27 @@ class TestPipeline:
         assert float(parts["L2L"]) == pytest.approx(10.0)
         assert float(parts["AVG"]) == pytest.approx((4.0 + 6.0 + 10.0) / 3)
 
+    def test_evaluate_reports_max_len_hits(self, workspace, tmp_path, capsys):
+        rc = main(["evaluate", "--checkpoint", str(workspace["teacher"]),
+                   "--data", str(workspace["corpus"]), "--out", str(tmp_path / "s.tsv"),
+                   "--beam", "1", "--max-len", "1"])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        sizes = {tag: len((workspace["corpus"] / f"{tag}.test.tsv").read_text().splitlines())
+                 for tag in ("aa-bb", "aa-cc")}
+        # one step never completes a target of three or more tokens
+        assert err == [f"{tag}: {n}/{n} hit max_len" for tag, n in sizes.items()]
+
+    @pytest.mark.parametrize("keep", [0.5, 10])
+    def test_truncated_checkpoint_exits_2(self, workspace, tmp_path, capsys, keep):
+        raw = workspace["teacher"].read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(raw[: int(len(raw) * keep) if keep < 1 else keep])
+        rc = main(["evaluate", "--checkpoint", str(cut),
+                   "--data", str(workspace["corpus"]), "--out", str(tmp_path / "s.tsv")])
+        assert rc == 2
+        assert "truncated" in capsys.readouterr().err
+
     def test_missing_checkpoint_exits_2(self, workspace, tmp_path):
         rc = main(["evaluate", "--checkpoint", str(tmp_path / "nope.ckpt"),
                    "--data", str(workspace["corpus"]), "--out", str(tmp_path / "s.tsv")])

@@ -254,6 +254,14 @@ class TestIO:
         with pytest.raises(DataError):
             data.load_corpus_tsv(path)
 
+    @pytest.mark.parametrize("line, side", [("aa\tbb\t\tx y\n", "source"),
+                                            ("aa\tbb\tx y\t\n", "target")])
+    def test_empty_field(self, tmp_path, line, side):
+        path = tmp_path / "empty.tsv"
+        path.write_text("aa\tbb\ta b\tb a\n" + line)
+        with pytest.raises(DataError, match=f"empty.tsv:2: empty {side} field"):
+            data.load_corpus_tsv(path)
+
     def test_resources_tsv(self, tmp_path):
         path = tmp_path / "res.tsv"
         path.write_text("# comment\nen\t2000000000\nxx\t5\n")

@@ -8,6 +8,7 @@ from shallowmt import decoding
 from shallowmt.decoding import (BeamHypothesis, beam_decode, beam_decode_ids,
                                 greedy_decode, greedy_decode_ids)
 from shallowmt.errors import ContractError
+from shallowmt.model import Model, ModelConfig
 
 BOS, EOS = 1, 2
 
@@ -136,10 +137,9 @@ class TestBeam:
         model, vocab = identity_setup["model"], identity_setup["vocab"]
 
         def norm_score(tokens, src):
-            step = model.decode_session(src)
             prefix, total = [vocab.bos_id], 0.0
             for t in tokens:
-                total += float(_log_softmax(step(prefix))[t])
+                total += float(_log_softmax(model.logits_for_prefix(src, prefix))[t])
                 prefix.append(t)
             return total / len(tokens)
 
@@ -154,10 +154,9 @@ class TestBeam:
         model, vocab = identity_setup["model"], identity_setup["vocab"]
 
         def norm_score(tokens, src):
-            step = model.decode_session(src)
             prefix, total = [vocab.bos_id], 0.0
             for t in tokens:
-                total += float(_log_softmax(step(prefix))[t])
+                total += float(_log_softmax(model.logits_for_prefix(src, prefix))[t])
                 prefix.append(t)
             return total / len(tokens)
 
@@ -176,6 +175,61 @@ class TestBeam:
             assert all(0 <= t < len(vocab) for t in out)
             max_len = decoding.default_max_len(len(pair.src), model)
             assert out[-1] == vocab.eos_id or len(out) == max_len
+
+
+def reference_decode(model, src_ids, bos, eos, beam_size, max_len):
+    """Greedy (beam_size 1) or beam search by full recompute of every prefix,
+    expanding each hypothesis into a list of all |V| candidates sorted by
+    (-score, tokens); the answer maximises score / length."""
+    if beam_size == 1:
+        out = []
+        while len(out) < max_len and (not out or out[-1] != eos):
+            out.append(int(np.argmax(model.logits_for_prefix(src_ids, [bos] + out))))
+        return out
+    live, pool = [((), 0.0)], []
+    for _ in range(max_len):
+        candidates = []
+        for tokens, score in live:
+            lp = _log_softmax(model.logits_for_prefix(src_ids, [bos, *tokens]))
+            candidates += [(tokens + (z,), score + float(lp[z])) for z in range(lp.shape[0])]
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        live = []
+        for tokens, score in candidates[:beam_size]:
+            (pool if tokens[-1] == eos else live).append((tokens, score))
+        if not live:
+            break
+    return list(min(pool or live, key=lambda h: (-h[1] / len(h[0]), h[0]))[0])
+
+
+class TestCachedDecodeMatchesReference:
+    """The cached, batched step decodes exactly the tokens of a full
+    recompute, on a trained model and on an untrained one (whose flat
+    distributions make close beam scores common)."""
+
+    def _cases(self, identity_setup, trained):
+        if trained:
+            vocab = identity_setup["vocab"]
+            pairs = identity_setup["test"][0].pairs[:20]
+            sources = [vocab.encode(["<lang:bb>"] + list(p.src)) + [vocab.eos_id] for p in pairs]
+            return identity_setup["model"], vocab.bos_id, vocab.eos_id, sources, 30
+        m = Model.create(ModelConfig(encoder_layers=4, decoder_layers=4, emb_dim=16,
+                                     ffn_dim=32, num_heads=4, vocab_size=12), seed=0)
+        rng = np.random.default_rng(9)
+        sources = [list(rng.integers(3, 12, size=rng.integers(2, 8))) + [EOS]
+                   for _ in range(20)]
+        return m, BOS, EOS, sources, 8
+
+    @pytest.mark.parametrize("trained", [True, False])
+    @pytest.mark.parametrize("beam_size", [1, 5])
+    def test_tokens_equal(self, identity_setup, trained, beam_size):
+        m, bos, eos, sources, max_len = self._cases(identity_setup, trained)
+        for src in sources:
+            want = reference_decode(m, src, bos, eos, beam_size, max_len)
+            if beam_size == 1:
+                got = greedy_decode_ids(m, src, bos, eos, max_len)
+            else:
+                got = beam_decode_ids(m, src, bos, eos, beam_size, max_len)
+            assert got == want
 
 
 def test_hypothesis_score_non_increasing():

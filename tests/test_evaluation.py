@@ -132,11 +132,16 @@ class TestEvaluateModel:
         b = evaluate_model(model, corpora, vocab, DecodeConfig(beam_size=1))
         assert {d: s.score for d, s in a.items()} == {d: s.score for d, s in b.items()}
 
-    def test_threaded_matches_sequential(self, setup):
+    def test_counts_max_len_hits(self, setup):
         model, vocab, corpora = setup
-        seq = evaluate_model(model, corpora, vocab, DecodeConfig(beam_size=1, threads=1))
-        par = evaluate_model(model, corpora, vocab, DecodeConfig(beam_size=1, threads=4))
-        assert {d: s.score for d, s in seq.items()} == {d: s.score for d, s in par.items()}
+        full = evaluate_model(model, corpora, vocab, DecodeConfig(beam_size=1))
+        assert all(s.max_len_hits == 0 for s in full.values())
+        # 4-token echoes need 5 steps to emit <eos>, 2-token ones need 3
+        for beam_size in (1, 3):
+            cut = evaluate_model(model, corpora, vocab,
+                                 DecodeConfig(beam_size=beam_size, max_len=4))
+            assert cut[("aa", "bb")].max_len_hits == 6
+            assert cut[("aa", "cc")].max_len_hits == 0
 
     def test_compositional_oracle(self, identity_setup):
         model, vocab = identity_setup["model"], identity_setup["vocab"]

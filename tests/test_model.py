@@ -104,11 +104,54 @@ class TestForward:
         b = forward(model, [11, 5, 6, 2], [1, 8]).data
         assert not np.array_equal(a, b)
 
-    def test_decode_session_matches_forward(self, model):
-        src = [5, 6, 7, 2]
-        step = model.decode_session(src)
-        for prefix in ([1], [1, 8], [1, 8, 9]):
-            assert np.array_equal(step(prefix), model.logits_for_prefix(src, prefix))
+
+STEP_TOL = 1e-12  # cached steps sum in another order than the full recompute
+
+
+def assert_steps_match_prefix_logits(m, src, steps=20, seed=0):
+    """Step a growing batch of random hypotheses, reordering them like a
+    beam, and compare every row with the full recompute of its prefix."""
+    rng = np.random.default_rng(seed)
+    vocab_size = m.config.vocab_size
+    state = m.begin_decode(src)
+    prefixes = [[1]]
+    tokens = [1]
+    for j in range(steps):
+        got = m.decode_step(state, tokens)
+        assert got.shape == (len(prefixes), vocab_size)
+        for row, prefix in zip(got, prefixes):
+            want = m.logits_for_prefix(src, prefix)
+            assert np.max(np.abs(row - want)) <= STEP_TOL
+        parents = rng.integers(0, len(prefixes), size=min(j + 2, 4))
+        state.reorder(parents)
+        tokens = [int(t) for t in rng.integers(3, vocab_size, size=len(parents))]
+        prefixes = [prefixes[i] + [t] for i, t in zip(parents, tokens)]
+
+
+class TestDecodeStep:
+    def test_untrained_deep_model_matches_prefix_logits(self):
+        m = Model.create(ModelConfig(**{**CFG, "encoder_layers": 4, "decoder_layers": 4,
+                                        "emb_dim": 64, "ffn_dim": 128}), seed=0)
+        assert_steps_match_prefix_logits(m, [5, 6, 7, 8, 9, 2])
+
+    def test_trained_model_matches_prefix_logits(self, identity_setup):
+        m, vocab = identity_setup["model"], identity_setup["vocab"]
+        pair = identity_setup["test"][0].pairs[0]
+        src = vocab.encode(["<lang:bb>"] + list(pair.src)) + [vocab.eos_id]
+        assert_steps_match_prefix_logits(m, src, seed=1)
+
+    def test_stepping_past_max_seq_len_raises(self):
+        m = Model.create(ModelConfig(**{**CFG, "max_seq_len": 4}), seed=0)
+        state = m.begin_decode([5, 6, 2])
+        for token in (1, 8, 9, 10):
+            m.decode_step(state, [token])
+        with pytest.raises(ContractError):
+            m.decode_step(state, [11])
+
+    def test_unknown_token_id(self, model):
+        state = model.begin_decode([5, 6, 2])
+        with pytest.raises(VocabularyError):
+            model.decode_step(state, [99])
 
 
 class TestEncodeSource:
@@ -234,6 +277,36 @@ class TestCheckpoint:
         assert np.array_equal(arr.reshape(entry["shape"]), model.params[entry["name"]].data)
         total = sum(int(np.prod(e["shape"])) for e in manifest["tensors"])
         assert len(data_section) == total * 8
+
+    @pytest.mark.parametrize("keep", [0.5, 10])
+    def test_truncated_file_rejected(self, model, tmp_path, keep):
+        path = tmp_path / "m.ckpt"
+        save_model(model, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: int(len(raw) * keep) if keep < 1 else keep])
+        with pytest.raises(ContractError, match="truncated"):
+            load_model(path)
+
+    def test_corrupt_manifest_rejected(self, model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_model(model, path)
+        raw = bytearray(path.read_bytes())
+        raw[12] = ord("]")  # the manifest's opening brace
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ContractError, match="manifest"):
+            load_model(path)
+
+    def test_tensor_outside_data_section_rejected(self, model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_model(model, path)
+        raw = path.read_bytes()
+        n = int.from_bytes(raw[8:12], "little")
+        manifest = json.loads(raw[12 : 12 + n])
+        manifest["tensors"][0]["offset"] = -8
+        body = json.dumps(manifest).encode()
+        path.write_bytes(raw[:8] + len(body).to_bytes(4, "little") + body + raw[12 + n :])
+        with pytest.raises(ContractError, match="outside"):
+            load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
